@@ -21,14 +21,19 @@ race:
 # Full pre-merge gate: vet, build, tests, and a race pass over the
 # scheduler-heavy packages, the daemons that share the process-wide
 # metrics registry and tracer, the pooled wire-path substrate
-# (buffer pools + shared resource views are cross-goroutine state),
-# the keep-alive engine (upstream conn pool + sharded cache), and the
-# live telemetry plane (sampler + SSE subscribers + campaign workers).
+# (buffer pools, recycled upstream bodies and shared resource views
+# are cross-goroutine state), the vendor behaviours that fetch through
+# it, the keep-alive engine (upstream conn pool + sharded cache), and
+# the live telemetry plane (sampler + SSE subscribers + campaign
+# workers). bench/ is its own module, so the root packages' tests
+# cannot see an API change break it; it is vetted and tested here.
 check:
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test ./...
-	$(GO) test -race ./internal/exp ./internal/core ./internal/cluster ./internal/metrics ./internal/trace ./internal/multipart ./internal/httpwire ./internal/netsim ./internal/resource ./internal/cdn ./internal/cache ./internal/origin ./internal/obs ./internal/campaign ./internal/transport ./internal/vtime ./cmd/origind ./cmd/cdnsim ./cmd/attack ./cmd/rangeamp
+	$(GO) test -race ./internal/exp ./internal/core ./internal/cluster ./internal/metrics ./internal/trace ./internal/multipart ./internal/httpwire ./internal/netsim ./internal/resource ./internal/cdn ./internal/cache ./internal/origin ./internal/vendor ./internal/obs ./internal/campaign ./internal/transport ./internal/vtime ./cmd/origind ./cmd/cdnsim ./cmd/attack ./cmd/rangeamp
+	$(GO) -C bench vet ./...
+	$(GO) -C bench test ./...
 
 # Regenerates the paper's headline numbers as custom bench metrics,
 # snapshots the full suite into BENCH_PR10.json (schema in DESIGN.md),

@@ -80,7 +80,8 @@ type Edge struct {
 	state        *vendor.EdgeState
 	inspector    Inspector
 	tracer       *trace.Tracer
-	node         string // span/trace node label, "<vendor>-edge"
+	node         string        // span/trace node label, "<vendor>-edge"
+	bodies       *bodyRecycler // where borrowed upstream bodies are recycled
 
 	// Per-vendor registry series, resolved once here so the request
 	// path is pure atomic adds.
@@ -134,6 +135,7 @@ func NewEdge(cfg Config) (*Edge, error) {
 		inspector:    cfg.Inspector,
 		tracer:       tracer,
 		node:         cfg.Profile.Name + "-edge",
+		bodies:       &sharedBodies,
 		mRequests: reg.Counter("cdn_requests_total",
 			"Requests handled by an edge, per vendor.", vend),
 		mRejectLimits:   reg.Counter(rejectName, rejectHelp, vend, metrics.L("reason", "limits")),
@@ -194,7 +196,8 @@ func (e *Edge) Serve(l *netsim.Listener) {
 
 // ServeConn handles one client connection with keep-alive semantics.
 // I/O buffers come from the httpwire pools so connection churn under a
-// flood does not allocate per-connection.
+// flood does not allocate per-connection. Each reply's borrowed
+// upstream buffers go back to the recycler once it is written.
 func (e *Edge) ServeConn(conn netsim.Conn) {
 	defer conn.Close()
 	br := httpwire.GetReader(conn)
@@ -206,11 +209,13 @@ func (e *Edge) ServeConn(conn netsim.Conn) {
 		if err != nil {
 			return
 		}
-		resp := e.Handle(req)
-		if _, err := resp.WriteTo(bw); err != nil {
-			return
+		resp, borrowed := e.serve(req)
+		_, err = resp.WriteTo(bw)
+		if err == nil {
+			err = bw.Flush()
 		}
-		if err := bw.Flush(); err != nil {
+		borrowed.release(e.bodies)
+		if err != nil {
 			return
 		}
 		if v, _ := req.Headers.Get("Connection"); v == "close" {
@@ -223,8 +228,17 @@ func (e *Edge) ServeConn(conn netsim.Conn) {
 // request count and handling latency around the inner pipeline. When
 // the tracer is enabled it opens this hop's server span, joining the
 // trace carried by the request's traceparent header (or rooting a new
-// one for un-contexted traffic).
+// one for un-contexted traffic). The reply may alias borrowed upstream
+// buffers; Handle leaves them to the GC, as nothing tells it when the
+// caller is done with the reply.
 func (e *Edge) Handle(req *httpwire.Request) *httpwire.Response {
+	resp, _ := e.serve(req)
+	return resp
+}
+
+// serve is Handle that also returns the buffers the reply borrows, for
+// a caller that releases them once the reply is written.
+func (e *Edge) serve(req *httpwire.Request) (*httpwire.Response, borrowList) {
 	e.mRequests.Inc()
 	start := time.Now()
 	var sp *trace.Span
@@ -237,29 +251,30 @@ func (e *Edge) Handle(req *httpwire.Request) *httpwire.Response {
 			}
 		}
 	}
-	resp := e.handle(req, sp)
+	resp, borrowed := e.handle(req, sp)
 	if sp.Recording() {
 		sp.SetAttrInt("status", int64(resp.StatusCode))
 	}
 	sp.End()
 	e.hDuration.Observe(time.Since(start).Microseconds())
-	return resp
+	return resp, borrowed
 }
 
 // handle is the edge pipeline body; sp is this hop's server span (nil
-// when the request is not being traced).
-func (e *Edge) handle(req *httpwire.Request, sp *trace.Span) *httpwire.Response {
+// when the request is not being traced). It returns the reply and the
+// buffers the reply borrows.
+func (e *Edge) handle(req *httpwire.Request, sp *trace.Span) (*httpwire.Response, borrowList) {
 	sp.Eventf(trace.KindRequest, "%s %s range=%s", req.Method, req.Target, headerOr(req, "Range", "-"))
 	if err := e.profile.Limits.Check(req); err != nil {
 		sp.Eventf(trace.KindRejected, "header limits: %v", err)
 		e.mRejectLimits.IncEx(sp.TraceIDString())
-		return e.errorResponse(httpwire.StatusHeaderTooLarge, err.Error())
+		return e.errorResponse(httpwire.StatusHeaderTooLarge, err.Error()), nil
 	}
 	if e.inspector != nil {
 		if malicious, reason := e.inspector.Screen(req); malicious {
 			sp.Eventf(trace.KindRejected, "detector: %s", reason)
 			e.mRejectDetector.IncEx(sp.TraceIDString())
-			return e.errorResponse(403, "request blocked: "+reason)
+			return e.errorResponse(403, "request blocked: "+reason), nil
 		}
 	}
 
@@ -278,7 +293,7 @@ func (e *Edge) handle(req *httpwire.Request, sp *trace.Span) *httpwire.Response 
 		len(set) > 1 && set.OverlappingSpecs() {
 		sp.Event(trace.KindRejected, "overlapping ranges (reject policy)")
 		e.mRejectOverlap.IncEx(sp.TraceIDString())
-		return e.errorResponse(httpwire.StatusBadRequest, "overlapping byte ranges rejected")
+		return e.errorResponse(httpwire.StatusBadRequest, "overlapping byte ranges rejected"), nil
 	}
 
 	cacheable := e.cacheUsable()
@@ -291,7 +306,7 @@ func (e *Edge) handle(req *httpwire.Request, sp *trace.Span) *httpwire.Response 
 	if cacheable {
 		if obj, ok := e.cache.Get(req.Target); ok {
 			sp.Eventf(trace.KindCacheHit, "%s (%dB cached)", req.Target, obj.Size)
-			return e.replyFromObject(req, set, hasRange, cachedObject(obj))
+			return e.replyFromObject(req, set, hasRange, cachedObject(obj)), nil
 		}
 		sp.Eventf(trace.KindCacheMiss, "%s", req.Target)
 	}
@@ -301,14 +316,17 @@ func (e *Edge) handle(req *httpwire.Request, sp *trace.Span) *httpwire.Response 
 // handleCollapsed is the miss path under singleflight collapsing: the
 // cache elects one leader per key to run the vendor behaviour; misses
 // that land while it is in flight wait and serve the leader's object.
-func (e *Edge) handleCollapsed(req *httpwire.Request, rawRange string, hasRange bool, set ranges.Set, key string, sp *trace.Span) *httpwire.Response {
+func (e *Edge) handleCollapsed(req *httpwire.Request, rawRange string, hasRange bool, set ranges.Set, key string, sp *trace.Span) (*httpwire.Response, borrowList) {
 	// resp is set iff this request became the leader and ran the fetch
 	// itself (its reply may be a relay or an error, neither of which a
 	// cached object could reproduce).
 	var resp *httpwire.Response
+	var borrowed borrowList
 	obj, collapsed, _ := e.cache.Do(req.Target, func() (*cache.Object, error) {
 		sp.Eventf(trace.KindCacheMiss, "%s", req.Target)
-		ret, err := e.retrieve(req, rawRange, hasRange, set, key, sp)
+		var ret *vendor.Retrieval
+		var err error
+		ret, borrowed, err = e.retrieve(req, rawRange, hasRange, set, key, sp)
 		if err != nil {
 			resp = e.errorResponse(httpwire.StatusBadGateway, err.Error())
 			return nil, err
@@ -317,7 +335,7 @@ func (e *Edge) handleCollapsed(req *httpwire.Request, rawRange string, hasRange 
 		return cacheableObject(ret), nil
 	})
 	if resp != nil {
-		return resp
+		return resp, borrowed
 	}
 	if obj != nil {
 		if collapsed {
@@ -325,7 +343,7 @@ func (e *Edge) handleCollapsed(req *httpwire.Request, rawRange string, hasRange 
 		} else {
 			sp.Eventf(trace.KindCacheHit, "%s (%dB cached)", req.Target, obj.Size)
 		}
-		return e.replyFromObject(req, set, hasRange, cachedObject(obj))
+		return e.replyFromObject(req, set, hasRange, cachedObject(obj)), nil
 	}
 	// The leader failed or produced an uncacheable outcome (relay,
 	// partial object): fall back to a private fetch.
@@ -335,21 +353,23 @@ func (e *Edge) handleCollapsed(req *httpwire.Request, rawRange string, hasRange 
 
 // fetchAndReply runs the vendor behaviour for one miss, caches a
 // complete 200 object when allowed, and builds the client reply.
-func (e *Edge) fetchAndReply(req *httpwire.Request, rawRange string, hasRange bool, set ranges.Set, key string, sp *trace.Span, cacheable bool) *httpwire.Response {
-	ret, err := e.retrieve(req, rawRange, hasRange, set, key, sp)
+func (e *Edge) fetchAndReply(req *httpwire.Request, rawRange string, hasRange bool, set ranges.Set, key string, sp *trace.Span, cacheable bool) (*httpwire.Response, borrowList) {
+	ret, borrowed, err := e.retrieve(req, rawRange, hasRange, set, key, sp)
 	if err != nil {
-		return e.errorResponse(httpwire.StatusBadGateway, err.Error())
+		return e.errorResponse(httpwire.StatusBadGateway, err.Error()), borrowed
 	}
 	if cacheable {
 		if obj := cacheableObject(ret); obj != nil {
 			e.cache.Put(req.Target, obj)
 		}
 	}
-	return e.replyToRetrieval(req, set, hasRange, ret, sp)
+	return e.replyToRetrieval(req, set, hasRange, ret, sp), borrowed
 }
 
 // retrieve runs the vendor's back-to-origin behaviour for one request.
-func (e *Edge) retrieve(req *httpwire.Request, rawRange string, hasRange bool, set ranges.Set, key string, sp *trace.Span) (*vendor.Retrieval, error) {
+// It also returns the buffers the fetched bodies borrow, even when the
+// behaviour fails.
+func (e *Edge) retrieve(req *httpwire.Request, rawRange string, hasRange bool, set ranges.Set, key string, sp *trace.Span) (*vendor.Retrieval, borrowList, error) {
 	rc := &vendor.RequestContext{
 		Raw:      rawRange,
 		HasRange: hasRange,
@@ -360,7 +380,8 @@ func (e *Edge) retrieve(req *httpwire.Request, rawRange string, hasRange bool, s
 		Key:      key,
 	}
 	up := &upstreamFetcher{edge: e, clientReq: req, span: sp}
-	return e.profile.Behaviour(up, rc, &e.profile.Options)
+	ret, err := e.profile.Behaviour(up, rc, &e.profile.Options)
+	return ret, up.borrowed, err
 }
 
 // replyToRetrieval turns a behaviour outcome into the client reply.
@@ -429,7 +450,8 @@ func (e *Edge) cacheUsable() bool {
 // headers appended (the Laziness path). The shallow clone shares the
 // upstream body — nothing on the relay path mutates it, and for an OBR
 // reply the body is the full n-part flood, so the deep copy here was
-// one of the largest allocations per request.
+// one of the largest allocations per request. A borrowed body stays
+// owned by the request's borrow list, never by the clone.
 func (e *Edge) relay(upstream *httpwire.Response) *httpwire.Response {
 	resp := upstream.CloneShared()
 	for _, h := range e.profile.EdgeHeaders() {
@@ -455,18 +477,33 @@ type upstreamFetcher struct {
 	edge      *Edge
 	clientReq *httpwire.Request
 	span      *trace.Span // the edge's server span; fetches become its children
+	borrowed  borrowList  // recycled buffers this request's bodies were read into
 }
 
 var _ vendor.Upstream = (*upstreamFetcher)(nil)
 
-// Fetch issues one back-to-origin request. Each fetch opens its own
-// connection so the paper's per-connection traffic observations
-// (Azure's two cdn-origin connections) hold. Under tracing, each fetch
-// is a child span carrying the forwarded Range and the segment's byte
-// delta — the per-hop view that makes Laziness (range forwarded, small
-// fetch) vs Deletion (range deleted, full-object fetch) subtrees
-// visibly different.
+// Fetch issues one back-to-origin request. On an edge whose cache is
+// off nothing keeps the body beyond this request, so it is borrowed.
 func (u *upstreamFetcher) Fetch(rangeHeader string, maxBody int64) (*httpwire.Response, bool, error) {
+	return u.fetch(rangeHeader, maxBody, !u.edge.cacheUsable())
+}
+
+// Relay issues one back-to-origin request whose response goes to the
+// client as is, so its body is always borrowed.
+func (u *upstreamFetcher) Relay(rangeHeader string) (*httpwire.Response, error) {
+	resp, _, err := u.fetch(rangeHeader, 0, true)
+	return resp, err
+}
+
+// fetch issues one back-to-origin request; borrow reads a body of known
+// size into a recycled buffer on the request's borrow list. Each fetch
+// opens its own connection so the paper's per-connection traffic
+// observations (Azure's two cdn-origin connections) hold. Under tracing,
+// each fetch is a child span carrying the forwarded Range and the
+// segment's byte delta — the per-hop view that makes Laziness (range
+// forwarded, small fetch) vs Deletion (range deleted, full-object
+// fetch) subtrees visibly different.
+func (u *upstreamFetcher) fetch(rangeHeader string, maxBody int64, borrow bool) (*httpwire.Response, bool, error) {
 	req := u.clientReq.Clone()
 	req.Headers.Del("Range")
 	if rangeHeader != "" {
@@ -527,8 +564,12 @@ func (u *upstreamFetcher) Fetch(rangeHeader string, maxBody int64) (*httpwire.Re
 	if maxBody > 0 {
 		limit = maxBody
 	}
+	var sink httpwire.BodySink
+	if borrow {
+		sink = u.borrowBody
+	}
 	if u.edge.pool != nil {
-		resp, truncated, err := u.fetchPooled(req, limit)
+		resp, truncated, err := u.fetchPooled(req, limit, sink)
 		if err != nil {
 			done(0, false, err)
 			return nil, false, err
@@ -553,7 +594,7 @@ func (u *upstreamFetcher) Fetch(rangeHeader string, maxBody int64) (*httpwire.Re
 	}
 	upr := httpwire.GetReader(conn)
 	defer httpwire.PutReader(upr)
-	resp, truncated, err := httpwire.ReadResponseLimited(upr, httpwire.Limits{}, limit)
+	resp, truncated, err := httpwire.ReadResponseTo(upr, httpwire.Limits{}, req.Method, limit, sink)
 	if err != nil {
 		err = fmt.Errorf("read upstream response: %w", err)
 		done(0, false, err)
@@ -572,7 +613,7 @@ func (u *upstreamFetcher) Fetch(rangeHeader string, maxBody int64) (*httpwire.Re
 // retried once on a fresh dial. A connection left dirty by the exchange
 // (truncated body, close-delimited framing, Connection: close) is
 // discarded; a clean one goes back to the pool for the next fetch.
-func (u *upstreamFetcher) fetchPooled(req *httpwire.Request, limit int64) (*httpwire.Response, bool, error) {
+func (u *upstreamFetcher) fetchPooled(req *httpwire.Request, limit int64, sink httpwire.BodySink) (*httpwire.Response, bool, error) {
 	pool := u.edge.pool
 	pc, reused, err := pool.get()
 	if err != nil {
@@ -581,7 +622,7 @@ func (u *upstreamFetcher) fetchPooled(req *httpwire.Request, limit int64) (*http
 	if reused {
 		u.span.Eventf(trace.KindPool, "reuse upstream conn (%d idle)", pool.IdleConns())
 	}
-	resp, truncated, err := exchange(pc, req, limit)
+	resp, truncated, err := exchange(pc, req, limit, sink)
 	if err != nil && reused {
 		pool.discard(pc)
 		u.span.Eventf(trace.KindPool, "stale pooled conn, redial: %v", err)
@@ -589,7 +630,7 @@ func (u *upstreamFetcher) fetchPooled(req *httpwire.Request, limit int64) (*http
 		if err != nil {
 			return nil, false, fmt.Errorf("dial upstream %s: %w", u.edge.upstreamAddr, err)
 		}
-		resp, truncated, err = exchange(pc, req, limit)
+		resp, truncated, err = exchange(pc, req, limit, sink)
 	}
 	if err != nil {
 		pool.discard(pc)
@@ -606,9 +647,9 @@ func (u *upstreamFetcher) fetchPooled(req *httpwire.Request, limit int64) (*http
 // exchange writes one request and parses one response on a persistent
 // connection, using the connection's own long-lived reader (parse
 // read-ahead must survive into the next exchange).
-func exchange(pc *pooledConn, req *httpwire.Request, limit int64) (*httpwire.Response, bool, error) {
+func exchange(pc *pooledConn, req *httpwire.Request, limit int64, sink httpwire.BodySink) (*httpwire.Response, bool, error) {
 	if _, err := req.WriteTo(pc.conn); err != nil {
 		return nil, false, fmt.Errorf("write upstream request: %w", err)
 	}
-	return httpwire.ReadResponseLimited(pc.br, httpwire.Limits{}, limit)
+	return httpwire.ReadResponseTo(pc.br, httpwire.Limits{}, req.Method, limit, sink)
 }

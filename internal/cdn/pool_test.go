@@ -1,6 +1,7 @@
 package cdn
 
 import (
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -323,5 +324,49 @@ func TestCollapseOffIsDefault(t *testing.T) {
 	wg.Wait()
 	if st := r.edge.Cache().Stats(); st.Collapsed != 0 {
 		t.Errorf("collapsed = %d without Collapse enabled", st.Collapsed)
+	}
+}
+
+func TestHeadThroughEdges(t *testing.T) {
+	// RFC 7230 §3.3.3: the reply to HEAD announces a Content-Length but
+	// carries no body. Read as a GET reply, it would wait for 4096 body
+	// bytes the origin never sends.
+	for _, tc := range []struct {
+		name    string
+		profile *vendor.Profile
+		rng     string
+		status  int
+		length  string
+	}{
+		{"deletion/cloudflare", vendor.Cloudflare(), "", httpwire.StatusOK, "4096"},
+		{"laziness/cdn77", vendor.CDN77(), "bytes=2048-2058", httpwire.StatusPartialContent, "11"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newPoolRig(t, tc.profile, 4096, func(cfg *Config) {
+				cfg.UpstreamPool = &PoolConfig{Size: 1}
+			})
+			req := httpwire.NewRequest("HEAD", "/target.bin?cb=head", "site.example")
+			if tc.rng != "" {
+				req.Headers.Add("Range", tc.rng)
+			}
+			resp, err := origin.Fetch(r.net, "edge:80", r.clientSeg, req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cl, _ := resp.Headers.Get("Content-Length"); resp.StatusCode != tc.status || cl != tc.length || len(resp.Body) != 0 {
+				t.Fatalf("HEAD: status=%d Content-Length=%q body=%dB, want %d, %s, 0B",
+					resp.StatusCode, cl, len(resp.Body), tc.status, tc.length)
+			}
+			// The pooled upstream connection the HEAD used stays in step:
+			// the next GET reuses it and reads the right reply.
+			resp = r.get(t, "/target.bin?cb=get", tc.rng)
+			if resp.StatusCode != tc.status || strconv.Itoa(len(resp.Body)) != tc.length {
+				t.Fatalf("GET after HEAD: status=%d body=%dB, want %d, %sB",
+					resp.StatusCode, len(resp.Body), tc.status, tc.length)
+			}
+			if conns := r.originSeg.Conns(); conns != 1 {
+				t.Errorf("cdn-origin connections = %d, want 1 (GET reused the HEAD's conn)", conns)
+			}
+		})
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"strconv"
 	"strings"
 
@@ -159,8 +160,11 @@ func BuildOverlappingRange(firstToken string, n int) string {
 type OBRResult struct {
 	Case          OBRCase
 	Amplification measure.Amplification // fcdn-bcdn vs bcdn-origin response traffic
-	Response      *httpwire.Response
-	Parts         int // body parts in the client-visible reply
+	// Response is the client-visible reply's status line and headers.
+	// The attacker counts its body into Parts as it streams in and never
+	// keeps it, so Body is nil.
+	Response *httpwire.Response
+	Parts    int // body parts in the client-visible reply
 }
 
 // RunOBR performs one OBR attack with the planned (or overridden) n.
@@ -181,6 +185,58 @@ func CountParts(resp *httpwire.Response) int {
 		return 0
 	}
 	return bytes.Count(resp.Body, []byte("--"+boundary+"\r\n"))
+}
+
+// partCounter counts multipart body parts as the body streams through
+// it, exactly as CountParts counts them in the materialized body: by
+// occurrences of "--boundary\r\n", so the closing "--boundary--" is not
+// a part. A delimiter may straddle two writes, so the counter carries
+// the stream's last len(delim)-1 bytes into the next write. Occurrences
+// never overlap: the delimiter ends in "\n" and a boundary, being a
+// header value, never holds one, so no proper prefix is also a suffix.
+type partCounter struct {
+	delim []byte // nil until sink sees a multipart head
+	tail  []byte
+	n     int
+}
+
+// sink is the httpwire.BodySink of the count-only attacker: a multipart
+// body streams through the counter, any other body is discarded.
+func (c *partCounter) sink(head *httpwire.Response, _ int64) io.Writer {
+	ct, _ := head.Headers.Get("Content-Type")
+	boundary, ok := cutBoundary(ct)
+	if !ok {
+		return io.Discard
+	}
+	c.delim = []byte("--" + boundary + "\r\n")
+	c.tail = make([]byte, 0, 2*len(c.delim))
+	return c
+}
+
+func (c *partCounter) Write(p []byte) (int, error) {
+	keep := len(c.delim) - 1
+	if len(c.tail) > 0 {
+		// Any delimiter in tail+p[:keep] straddles the two writes.
+		joint := append(c.tail, p[:min(len(p), keep)]...)
+		c.n += bytes.Count(joint, c.delim)
+		c.tail = joint[:len(c.tail)]
+	}
+	c.n += bytes.Count(p, c.delim)
+	if len(p) >= keep {
+		c.tail = append(c.tail[:0], p[len(p)-keep:]...)
+	} else if c.tail = append(c.tail, p...); len(c.tail) > keep {
+		c.tail = c.tail[:copy(c.tail, c.tail[len(c.tail)-keep:])]
+	}
+	return len(p), nil
+}
+
+// parts returns the part count of the reply whose head is resp: the
+// streamed count for a multipart body, CountParts' rule otherwise.
+func (c *partCounter) parts(resp *httpwire.Response) int {
+	if c.delim == nil {
+		return CountParts(resp)
+	}
+	return c.n
 }
 
 func cutBoundary(ct string) (string, bool) {

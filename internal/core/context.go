@@ -139,7 +139,10 @@ func RunOBRContext(ctx context.Context, t *OBRTopology, path string, n int) (*OB
 		trace.Inject(sp, &req.Headers)
 		before = t.ClientSeg.Traffic()
 	}
-	resp, err := origin.Fetch(t.Net, t.FCDNAddr, t.ClientSeg, req)
+	// The n-part reply runs to megabytes; count its parts as it streams
+	// in rather than materialize it.
+	var parts partCounter
+	resp, err := origin.FetchTo(t.Net, t.FCDNAddr, t.ClientSeg, req, parts.sink)
 	endClientSpan(sp, t.ClientSeg, before, resp, err)
 	if err != nil {
 		return nil, fmt.Errorf("obr request: %w", err)
@@ -160,7 +163,7 @@ func RunOBRContext(ctx context.Context, t *OBRTopology, path string, n int) (*OB
 			AttackerBytes: wireDelta.AttackerBytes, // bcdn-origin response bytes (capture view)
 		},
 		Response: resp,
-		Parts:    CountParts(resp),
+		Parts:    parts.parts(resp),
 	}, nil
 }
 

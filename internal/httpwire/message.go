@@ -310,29 +310,43 @@ func ReadRequest(br *bufio.Reader, lim Limits) (*Request, error) {
 	if err != nil {
 		return nil, err
 	}
-	req.Body, err = readBody(br, req.Headers, lim, false, -1)
+	length, chunked, err := bodyFraming(req.Headers, lim)
 	if err != nil {
 		return nil, err
 	}
+	var body BodyBuffer
+	if err := readBody(br, length, chunked, lim, false, -1, &body, nil); err != nil {
+		return nil, err
+	}
+	req.Body = body.b
 	return req, nil
 }
 
-// ReadResponse parses one response from br. Responses without a
-// Content-Length are read until EOF (HTTP/1.1 close-delimited framing).
+// ReadResponse parses one response to a GET from br. Responses without
+// a Content-Length are read until EOF (HTTP/1.1 close-delimited framing).
 func ReadResponse(br *bufio.Reader, lim Limits) (*Response, error) {
-	resp, _, err := readResponse(br, lim, -1)
+	resp, _, err := ReadResponseTo(br, lim, "GET", -1, nil)
 	return resp, err
 }
 
-// ReadResponseLimited parses a response but stops consuming the body
-// after maxBody payload bytes, returning truncated=true when the body
-// was cut short. This models a proxy (Azure in §V-A) that closes its
-// back-to-origin connection once it has seen enough payload.
-func ReadResponseLimited(br *bufio.Reader, lim Limits, maxBody int64) (resp *Response, truncated bool, err error) {
-	return readResponse(br, lim, maxBody)
-}
+// A BodySink picks where a response body goes once its head is parsed.
+// size is the number of body bytes the read will transfer, or -1 when
+// the framing does not say (chunked or close-delimited). A nil writer
+// materializes the body into Response.Body; a *BodyBuffer does the same
+// into memory the caller supplies; any other writer receives the bytes
+// and leaves Body nil.
+type BodySink func(head *Response, size int64) io.Writer
 
-func readResponse(br *bufio.Reader, lim Limits, maxBody int64) (*Response, bool, error) {
+// ReadResponseTo parses the response to a method request from br and
+// streams its body into the writer sink picks from the head (a nil sink
+// materializes it). A response to HEAD, like a 1xx, 204 or 304, has no
+// body whatever its framing headers announce (RFC 7230 §3.3.3).
+//
+// maxBody >= 0 stops consuming the body after that many bytes and
+// reports truncated=true when the body was cut short. This models a
+// proxy (Azure in §V-A) that closes its back-to-origin connection once
+// it has seen enough payload.
+func ReadResponseTo(br *bufio.Reader, lim Limits, method string, maxBody int64, sink BodySink) (resp *Response, truncated bool, err error) {
 	line, hdrBytes, err := readLine(br, lim.header())
 	if err != nil {
 		return nil, false, err
@@ -345,7 +359,7 @@ func readResponse(br *bufio.Reader, lim Limits, maxBody int64) (*Response, bool,
 	if err != nil || code < 100 || code > 999 {
 		return nil, false, fmt.Errorf("%w: status %q", ErrMalformedStartLine, parts[1])
 	}
-	resp := &Response{Proto: parts[0], StatusCode: code}
+	resp = &Response{Proto: parts[0], StatusCode: code}
 	if len(parts) == 3 {
 		resp.Reason = parts[2]
 	}
@@ -353,11 +367,33 @@ func readResponse(br *bufio.Reader, lim Limits, maxBody int64) (*Response, bool,
 	if err != nil {
 		return nil, false, err
 	}
-	if !statusAllowsBody(code) {
+	if method == "HEAD" || !statusAllowsBody(code) {
 		return resp, false, nil
 	}
-	resp.Body, err = readBody(br, resp.Headers, lim, true, maxBody)
-	truncated := errors.Is(err, errTruncated)
+	length, chunked, err := bodyFraming(resp.Headers, lim)
+	if err != nil {
+		return resp, false, err
+	}
+	var body BodyBuffer
+	mem, w := &body, io.Writer(nil)
+	if sink != nil {
+		size := length
+		if maxBody >= 0 && maxBody < size {
+			size = maxBody
+		}
+		if w = sink(resp, size); w != nil {
+			if bb, ok := w.(*BodyBuffer); ok {
+				mem, w = bb, nil
+			} else {
+				mem = nil
+			}
+		}
+	}
+	err = readBody(br, length, chunked, lim, true, maxBody, mem, w)
+	if mem != nil {
+		resp.Body = mem.b
+	}
+	truncated = errors.Is(err, errTruncated)
 	if truncated {
 		err = nil
 	}
@@ -370,103 +406,201 @@ func statusAllowsBody(code int) bool {
 	return code >= 200 && code != 204 && code != 304
 }
 
-func readBody(br *bufio.Reader, hs Headers, lim Limits, untilEOF bool, maxBody int64) ([]byte, error) {
+// bodyFraming reads how a message delimits its body: a chunked coding,
+// or length >= 0 bytes, or (length -1) no framing at all.
+func bodyFraming(hs Headers, lim Limits) (length int64, chunked bool, err error) {
 	if te, ok := hs.Get("Transfer-Encoding"); ok && strings.Contains(strings.ToLower(te), "chunked") {
-		return readChunkedBody(br, lim, maxBody)
+		return -1, true, nil
 	}
-	if cl, ok := hs.Get("Content-Length"); ok {
-		n, err := strconv.ParseInt(strings.TrimSpace(cl), 10, 64)
-		if err != nil || n < 0 {
-			return nil, fmt.Errorf("%w: Content-Length %q", ErrMalformedHeader, cl)
-		}
-		if n > lim.body() {
-			return nil, ErrBodyTooLarge
-		}
-		want := n
-		truncated := false
+	cl, ok := hs.Get("Content-Length")
+	if !ok {
+		return -1, false, nil
+	}
+	n, err := strconv.ParseInt(strings.TrimSpace(cl), 10, 64)
+	if err != nil || n < 0 {
+		return 0, false, fmt.Errorf("%w: Content-Length %q", ErrMalformedHeader, cl)
+	}
+	if n > lim.body() {
+		return 0, false, ErrBodyTooLarge
+	}
+	return n, false, nil
+}
+
+// readBody transfers one body framed as bodyFraming reported. The bytes
+// go into mem when it is non-nil, read in place, and through w
+// otherwise. A message without framing has no body unless untilEOF, in
+// which case it runs to EOF. maxBody >= 0 cuts the body at that many
+// bytes and reports errTruncated.
+func readBody(br *bufio.Reader, length int64, chunked bool, lim Limits, untilEOF bool, maxBody int64, mem *BodyBuffer, w io.Writer) error {
+	if chunked {
+		return readChunkedBody(br, lim, maxBody, mem, w)
+	}
+	if length >= 0 {
+		want := length
 		if maxBody >= 0 && maxBody < want {
 			want = maxBody
-			truncated = true
 		}
-		body := make([]byte, want)
-		if _, err := io.ReadFull(br, body); err != nil {
-			return body, fmt.Errorf("httpwire: short body: %w", err)
+		if _, err := transfer(br, want, mem, w); err != nil {
+			return fmt.Errorf("httpwire: short body: %w", err)
 		}
-		if truncated {
-			return body, errTruncated
+		if want < length {
+			return errTruncated
 		}
-		return body, nil
+		return nil
 	}
 	if !untilEOF {
-		return nil, nil // requests without Content-Length have no body
+		return nil // requests without Content-Length have no body
 	}
-	limit := lim.body() + 1
-	if maxBody >= 0 && maxBody+1 < limit {
-		limit = maxBody + 1
+	limit := lim.body()
+	if maxBody >= 0 && maxBody <= limit {
+		limit = maxBody
 	}
-	body, err := io.ReadAll(io.LimitReader(br, limit))
-	if err != nil {
-		return body, err
+	r := io.LimitReader(br, limit)
+	var n int64
+	var err error
+	if mem != nil {
+		n, err = mem.readAll(r)
+	} else {
+		n, err = CopyBody(w, r)
 	}
-	if maxBody >= 0 && int64(len(body)) > maxBody {
-		return body[:maxBody], errTruncated
+	if err != nil || n < limit {
+		return err // n < limit: the peer closed, and that was the body
 	}
-	if int64(len(body)) > lim.body() {
-		return nil, ErrBodyTooLarge
+	if _, err := br.ReadByte(); err != nil {
+		if err == io.EOF {
+			return nil
+		}
+		return err
 	}
-	return body, nil
+	if limit == maxBody {
+		return errTruncated
+	}
+	return ErrBodyTooLarge
 }
 
 // readChunkedBody parses a chunked transfer coding (RFC 7230 §4.1):
 // hex-size lines, chunk data, a zero-size terminator and an optional
 // trailer section (discarded). Real-world origins stream this way, so
 // the TCP demo tools can front servers we did not write.
-func readChunkedBody(br *bufio.Reader, lim Limits, maxBody int64) ([]byte, error) {
-	var body []byte
+func readChunkedBody(br *bufio.Reader, lim Limits, maxBody int64, mem *BodyBuffer, w io.Writer) error {
+	var total int64
 	for {
 		line, _, err := readLine(br, 4096)
 		if err != nil {
-			return body, fmt.Errorf("httpwire: chunk size line: %w", err)
+			return fmt.Errorf("httpwire: chunk size line: %w", err)
 		}
 		if i := strings.IndexByte(line, ';'); i >= 0 {
 			line = line[:i] // drop chunk extensions
 		}
 		size, err := strconv.ParseInt(strings.TrimSpace(line), 16, 64)
 		if err != nil || size < 0 {
-			return body, fmt.Errorf("%w: chunk size %q", ErrMalformedHeader, line)
+			return fmt.Errorf("%w: chunk size %q", ErrMalformedHeader, line)
 		}
 		if size == 0 {
 			// Discard any trailers up to the blank line.
 			for {
 				t, _, err := readLine(br, lim.header())
 				if err != nil {
-					return body, err
+					return err
 				}
 				if t == "" {
-					return body, nil
+					return nil
 				}
 			}
 		}
-		if int64(len(body))+size > lim.body() {
-			return nil, ErrBodyTooLarge
+		if total+size > lim.body() {
+			return ErrBodyTooLarge
 		}
 		want := size
-		if maxBody >= 0 && int64(len(body))+size > maxBody {
-			want = maxBody - int64(len(body))
+		if maxBody >= 0 && total+size > maxBody {
+			want = maxBody - total
 		}
-		// Read straight into the body's tail: no per-chunk scratch
-		// allocation, no second copy.
-		old := len(body)
-		body = slices.Grow(body, int(want))[:old+int(want)]
-		if _, err := io.ReadFull(br, body[old:]); err != nil {
-			return body, fmt.Errorf("httpwire: short chunk: %w", err)
+		n, err := transfer(br, want, mem, w)
+		total += n
+		if err != nil {
+			return fmt.Errorf("httpwire: short chunk: %w", err)
 		}
 		if want < size {
-			return body, errTruncated
+			return errTruncated
 		}
 		// Trailing CRLF after the chunk data.
 		if _, _, err := readLine(br, 16); err != nil {
-			return body, err
+			return err
+		}
+	}
+}
+
+// transfer moves n body bytes from br into mem or, when mem is nil,
+// through w. It fails like io.ReadFull when br ends early.
+func transfer(br *bufio.Reader, n int64, mem *BodyBuffer, w io.Writer) (int64, error) {
+	if mem != nil {
+		return mem.readN(br, n)
+	}
+	got, err := CopyBody(w, io.LimitReader(br, n))
+	if err == nil && got < n {
+		err = io.ErrUnexpectedEOF
+		if got == 0 {
+			err = io.EOF
+		}
+	}
+	return got, err
+}
+
+// BodyBuffer is a body sink that keeps the bytes in memory. A BodySink
+// that returns one gets them back as Response.Body, read straight into
+// the buffer's spare capacity, so a caller can recycle body memory
+// across responses.
+type BodyBuffer struct{ b []byte }
+
+// NewBodyBuffer returns an empty buffer with room for n bytes.
+func NewBodyBuffer(n int64) *BodyBuffer { return &BodyBuffer{b: make([]byte, 0, n)} }
+
+// Write appends p.
+func (bb *BodyBuffer) Write(p []byte) (int, error) {
+	bb.b = append(bb.b, p...)
+	return len(p), nil
+}
+
+// Cap returns how many bytes the buffer holds without growing.
+func (bb *BodyBuffer) Cap() int64 { return int64(cap(bb.b)) }
+
+// Reset empties the buffer and keeps its memory.
+func (bb *BodyBuffer) Reset() { bb.b = bb.b[:0] }
+
+// readN appends n bytes from r, growing the buffer at most once. An
+// empty buffer grows with make, which skips zeroing memory fresh from
+// the OS (a multi-megabyte body often gets some); appending chunk after
+// chunk grows geometrically.
+func (bb *BodyBuffer) readN(r io.Reader, n int64) (int64, error) {
+	start := len(bb.b)
+	if int64(cap(bb.b)-start) < n {
+		if start == 0 {
+			bb.b = make([]byte, 0, n)
+		} else {
+			bb.b = slices.Grow(bb.b, int(n))
+		}
+	}
+	bb.b = bb.b[:start+int(n)]
+	k, err := io.ReadFull(r, bb.b[start:])
+	bb.b = bb.b[:start+k]
+	return int64(k), err
+}
+
+// readAll appends r's bytes until EOF, growing as they arrive (a
+// close-delimited body gives no size to allocate up front).
+func (bb *BodyBuffer) readAll(r io.Reader) (int64, error) {
+	start := len(bb.b)
+	for {
+		if len(bb.b) == cap(bb.b) {
+			bb.b = slices.Grow(bb.b, 512)
+		}
+		k, err := r.Read(bb.b[len(bb.b):cap(bb.b)])
+		bb.b = bb.b[:len(bb.b)+k]
+		if err != nil {
+			if err == io.EOF {
+				err = nil
+			}
+			return int64(len(bb.b) - start), err
 		}
 	}
 }

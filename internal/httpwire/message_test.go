@@ -123,7 +123,7 @@ func TestReadResponseNoBodyStatuses(t *testing.T) {
 func TestReadResponseLimited(t *testing.T) {
 	body := strings.Repeat("x", 1000)
 	raw := "HTTP/1.1 200 OK\r\nContent-Length: 1000\r\n\r\n" + body
-	resp, truncated, err := ReadResponseLimited(bufio.NewReader(strings.NewReader(raw)), Limits{}, 100)
+	resp, truncated, err := ReadResponseTo(bufio.NewReader(strings.NewReader(raw)), Limits{}, "GET", 100, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestReadResponseLimited(t *testing.T) {
 		t.Errorf("truncated=%v len=%d, want true,100", truncated, len(resp.Body))
 	}
 	// Limit above the body size: not truncated.
-	resp, truncated, err = ReadResponseLimited(bufio.NewReader(strings.NewReader(raw)), Limits{}, 5000)
+	resp, truncated, err = ReadResponseTo(bufio.NewReader(strings.NewReader(raw)), Limits{}, "GET", 5000, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -134,7 +134,7 @@ func (c *Client) exchangeLocked(req *httpwire.Request) (*httpwire.Response, erro
 	if _, err := req.WriteTo(c.conn); err != nil {
 		return nil, fmt.Errorf("write request: %w", err)
 	}
-	resp, err := httpwire.ReadResponse(c.br, httpwire.Limits{})
+	resp, _, err := httpwire.ReadResponseTo(c.br, httpwire.Limits{}, req.Method, -1, nil)
 	if err != nil {
 		return nil, fmt.Errorf("read response: %w", err)
 	}

@@ -427,6 +427,12 @@ func (s *Server) errorResponse(code int, msg string) *httpwire.Response {
 // write and restored afterwards, so a replayed request (the KeyCDN
 // Repeat=2 case) carries the same headers on every send.
 func Fetch(net *netsim.Network, addr string, seg *netsim.Segment, req *httpwire.Request) (*httpwire.Response, error) {
+	return FetchTo(net, addr, seg, req, nil)
+}
+
+// FetchTo is Fetch with the response body streamed into the writer
+// sink picks from the response head (see httpwire.BodySink).
+func FetchTo(net *netsim.Network, addr string, seg *netsim.Segment, req *httpwire.Request, sink httpwire.BodySink) (*httpwire.Response, error) {
 	conn, err := net.Dial(addr, seg)
 	if err != nil {
 		return nil, err
@@ -445,7 +451,7 @@ func Fetch(net *netsim.Network, addr string, seg *netsim.Segment, req *httpwire.
 	}
 	br := httpwire.GetReader(conn)
 	defer httpwire.PutReader(br)
-	resp, err := httpwire.ReadResponse(br, httpwire.Limits{})
+	resp, _, err := httpwire.ReadResponseTo(br, httpwire.Limits{}, req.Method, -1, sink)
 	if err != nil && !errors.Is(err, netsim.ErrClosed) {
 		return resp, err
 	}
